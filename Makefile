@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet race short test bench bench-smoke bench-json cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
+.PHONY: all tier1 vet race short test bench bench-smoke bench-json cover fuzz-smoke shuffle faultnet-soak stress fobsd-smoke verify
 
 all: verify
 
@@ -74,6 +74,18 @@ shuffle:
 # the per-push gate.
 faultnet-soak:
 	$(GO) test -race -count=10 ./internal/udprt ./internal/faultnet
+
+# Timing-sensitive suites repeated on one and on two CPUs: the udprt
+# dedup, resume, retry and server receive paths, the kill-point guards
+# (their cuts are counted by faultnet.Proxy, not fired from a progress
+# callback), and the fobsd kill-point sweep. These are the tests that
+# passed alone but failed under full-suite load; a failure here is a bug to
+# fix at its cause, not a timeout to widen. STRESS_COUNT sets N.
+STRESS_COUNT ?= 10
+stress:
+	$(GO) test ./internal/udprt -count=$(STRESS_COUNT) -cpu=1,2 \
+		-run 'Dedup|Resume|Retry|Server|SenderStallMidTransferViaBlackhole|SeverControlMidTransfer'
+	$(GO) test ./internal/tasks -count=$(STRESS_COUNT) -cpu=1,2 -run 'TestDaemonKillPointSweep'
 
 # End-to-end daemon crash drill against the real binary: build fobsd,
 # submit three tasks over loopback, SIGKILL it mid-flight, restart it over

@@ -718,6 +718,47 @@ func TestMissingSeqsDoesNotWrap(t *testing.T) {
 	}
 }
 
+func TestFirstMissingDoesNotWrap(t *testing.T) {
+	r := NewReceiver(8*1024, Config{Discard: true})
+	for _, q := range []int{0, 1, 2, 5, 6, 7} {
+		r.HandleData(wire.Data{Seq: uint32(q), Total: 8})
+	}
+	for _, c := range []struct{ from, want int }{
+		{-1, 3}, {0, 3}, {3, 3}, {4, 4}, {5, 8}, {7, 8}, {8, 8}, {99, 8},
+	} {
+		if got := r.FirstMissing(c.from); got != c.want {
+			t.Errorf("FirstMissing(%d) = %d, want %d", c.from, got, c.want)
+		}
+	}
+	r.HandleData(wire.Data{Seq: 3, Total: 8})
+	r.HandleData(wire.Data{Seq: 4, Total: 8})
+	if got := r.FirstMissing(0); got != 8 {
+		t.Fatalf("FirstMissing on complete = %d, want 8", got)
+	}
+}
+
+// TestDuplicateDoesNotOverwritePlacedBytes pins the property streamed
+// content verification rests on: once a packet is placed its bytes are
+// final, even if a later copy of the same sequence number carries
+// different bytes.
+func TestDuplicateDoesNotOverwritePlacedBytes(t *testing.T) {
+	r := NewReceiver(2*1024, Config{})
+	first := bytes.Repeat([]byte{0xAA}, 1024)
+	if _, err := r.HandleData(wire.Data{Seq: 1, Total: 2, Payload: first}); err != nil {
+		t.Fatal(err)
+	}
+	forged := bytes.Repeat([]byte{0x55}, 1024)
+	if _, err := r.HandleData(wire.Data{Seq: 1, Total: 2, Payload: forged}); err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats().Duplicates != 1 {
+		t.Fatalf("duplicates = %d, want 1", r.Stats().Duplicates)
+	}
+	if !bytes.Equal(r.Object()[1024:], first) {
+		t.Fatal("a duplicate overwrote a placed packet")
+	}
+}
+
 // Property: the sender's knowledge is always a subset of the receiver's
 // truth — acks can be lost or stale, but the sender must never believe a
 // packet arrived that did not.

@@ -235,6 +235,26 @@ func (r *Receiver) BuildAck() wire.Ack {
 // Missing returns how many packets have not yet arrived.
 func (r *Receiver) Missing() int { return r.n - r.got.Count() }
 
+// FirstMissing returns the lowest packet index at or after from that has not
+// yet arrived, or NumPackets() when every packet from there on is held. The
+// bytes of held packets are final — HandleData copies a payload only on its
+// first receipt — so a caller that walks a contiguous held prefix may read
+// it while later packets are still landing.
+func (r *Receiver) FirstMissing(from int) int {
+	if from < 0 {
+		from = 0
+	}
+	if from >= r.n {
+		return r.n
+	}
+	// FirstUnset searches circularly: -1 (full) or a wrap below from both
+	// mean nothing is missing in [from, n).
+	if i := r.got.FirstUnset(from); i >= from {
+		return i
+	}
+	return r.n
+}
+
 // HighestReceived returns the largest sequence number received so far, or
 // -1. Gap-based loss detectors (SABUL) NAK only below this point.
 func (r *Receiver) HighestReceived() int { return r.highest }

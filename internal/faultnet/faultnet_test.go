@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -385,5 +386,113 @@ func TestCorruptKnobLeavesFateStreamAlone(t *testing.T) {
 	b := droppedCount(Policy{Seed: 3, Drop: 0.2, Corrupt: 0.7, CorruptOffset: 2})
 	if a != b {
 		t.Fatalf("corrupt knob changed the drop count: %d vs %d", a, b)
+	}
+}
+
+// TestProxyScheduledCut pins the relay-counted trigger: the upstream sees
+// exactly After datagrams before a black-holing cut, the control stream is
+// severed at the cut, a healed link relays again, and a second scheduled
+// cut fires at its own count.
+func TestProxyScheduledCut(t *testing.T) {
+	tl, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	go func() {
+		for {
+			c, err := tl.AcceptTCP()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+		}
+	}()
+	ul, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: tl.Addr().(*net.TCPAddr).Port})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ul.Close()
+	var upstream atomic.Int64
+	go func() {
+		buf := make([]byte, 64)
+		for {
+			if _, _, err := ul.ReadFromUDP(buf); err != nil {
+				return
+			}
+			upstream.Add(1)
+		}
+	}()
+	p, err := NewProxy(tl.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.ScheduleCut(Cut{After: 8, Blackhole: true})
+	p.ScheduleCut(Cut{After: 5, Blackhole: true, Sever: true, Heal: 100 * time.Millisecond})
+
+	tc, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	// The relay registers the control pipe asynchronously; wait for it so
+	// the cut has something to sever.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		p.mu.Lock()
+		n := len(p.pipes)
+		p.mu.Unlock()
+		if n > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("control relay never registered")
+		}
+	}
+	uc, err := net.Dial("udp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uc.Close()
+	// awaitUpstream waits for the upstream count to reach want, then
+	// checks it stays there while the rest of the burst would land.
+	awaitUpstream := func(want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); upstream.Load() < want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("upstream saw %d datagrams, want %d", upstream.Load(), want)
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+		if got := upstream.Load(); got != want {
+			t.Fatalf("upstream saw %d datagrams, want exactly %d", got, want)
+		}
+	}
+	burst := func() {
+		for i := 0; i < 20; i++ {
+			if _, err := uc.Write([]byte("data")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	burst()
+	awaitUpstream(5)
+	if n := p.CutsFired(); n != 1 {
+		t.Fatalf("cuts fired = %d, want 1", n)
+	}
+	tc.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := tc.Read(make([]byte, 1)); err == nil {
+		t.Fatal("control stream survived a severing cut")
+	}
+	for deadline := time.Now().Add(2 * time.Second); p.blackhole.Load(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the cut never healed")
+		}
+	}
+	burst()
+	awaitUpstream(8)
+	if n := p.CutsFired(); n != 2 {
+		t.Fatalf("cuts fired = %d, want 2", n)
 	}
 }

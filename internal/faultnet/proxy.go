@@ -3,8 +3,10 @@ package faultnet
 import (
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Proxy is a loopback man-in-the-middle for one FOBS endpoint: it binds a
@@ -18,6 +20,12 @@ import (
 // Point a sender at Proxy.Addr() instead of the real receiver address;
 // everything else is unchanged, which is what makes the faults honest —
 // the runtime cannot tell it is under test.
+//
+// A failure can also be scheduled with ScheduleCut, to strike after a set
+// number of relayed datagrams. The proxy fires it itself, between two
+// datagrams, so it lands at an exact point of the data stream instead of
+// racing the transfer's completion the way a cut fired from a peer's
+// progress callback does.
 type Proxy struct {
 	upstream *net.UDPAddr
 	tcpAddr  string
@@ -31,6 +39,27 @@ type Proxy struct {
 	links  map[string]*net.UDPConn // client addr → upstream data socket
 	pipes  []*net.TCPConn          // live control conns, both halves
 	closed bool
+	// relayed counts client→upstream datagrams handed to the injector;
+	// cuts are the scheduled failures still to fire, by ascending After.
+	relayed int64
+	cuts    []Cut
+	fired   int
+}
+
+// Cut is a scripted path failure, counted in client→upstream datagrams
+// relayed to the injector. With Blackhole set and After below the object's
+// packet count, the cut comes before the transfer can complete, by
+// construction: no more than After data datagrams get through first.
+type Cut struct {
+	// After is how many datagrams the proxy relays before the cut; the
+	// next datagram meets it.
+	After int64
+	// Blackhole drops every datagram, both directions, from the cut on.
+	Blackhole bool
+	// Sever tears down every relayed control connection at the cut.
+	Sever bool
+	// Heal lifts the black hole this long after the cut; zero keeps it.
+	Heal time.Duration
 }
 
 // NewProxy builds a proxy in front of the FOBS endpoint at upstream
@@ -72,6 +101,51 @@ func (p *Proxy) Addr() string { return p.tcp.Addr().String() }
 
 // Stats reports the injector's counters.
 func (p *Proxy) Stats() Stats { return p.faults.Stats() }
+
+// ScheduleCut stages c. Several cuts fire in order of After, each once,
+// which is how a flapping link is scripted.
+func (p *Proxy) ScheduleCut(c Cut) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cuts = append(p.cuts, c)
+	sort.SliceStable(p.cuts, func(i, j int) bool { return p.cuts[i].After < p.cuts[j].After })
+}
+
+// CutsFired reports how many scheduled cuts have fired.
+func (p *Proxy) CutsFired() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.fired
+}
+
+// admit counts one client→upstream datagram for relay, first firing the
+// next scheduled cut if the count has reached it. It reports whether the
+// datagram may still pass.
+func (p *Proxy) admit() bool {
+	p.mu.Lock()
+	if len(p.cuts) == 0 || p.relayed < p.cuts[0].After {
+		p.relayed++
+		p.mu.Unlock()
+		return true
+	}
+	c := p.cuts[0]
+	p.cuts = p.cuts[1:]
+	p.fired++
+	if !c.Blackhole {
+		p.relayed++
+	}
+	p.mu.Unlock()
+	if c.Blackhole {
+		p.SetBlackhole(true)
+		if c.Heal > 0 {
+			time.AfterFunc(c.Heal, func() { p.SetBlackhole(false) })
+		}
+	}
+	if c.Sever {
+		p.SeverControl()
+	}
+	return !c.Blackhole
+}
 
 // SetBlackhole toggles total datagram loss in both directions, leaving the
 // control stream up: the "path died under the transfer" failure.
@@ -163,7 +237,7 @@ func (p *Proxy) dataLoop() {
 		if err != nil {
 			return
 		}
-		if p.blackhole.Load() {
+		if p.blackhole.Load() || !p.admit() {
 			continue
 		}
 		link := p.link(from)

@@ -73,10 +73,9 @@ func newContentCache(opts Options) *contentCache {
 }
 
 // lookup returns a copy of the cached object for a digest. The copy is
-// deliberate on both paths (add copies in, lookup copies out): cached
-// bytes back dedup answers for the cache's whole lifetime, so neither the
-// receive loop that produced the object nor the caller a hit is served to
-// may alias them.
+// deliberate: cached bytes back dedup answers for the cache's whole
+// lifetime, so the caller a hit is served to must not alias them (add, for
+// the same reason, takes a buffer no one else holds).
 func (c *contentCache) lookup(content [32]byte) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -94,14 +93,17 @@ func (c *contentCache) lookup(content [32]byte) ([]byte, bool) {
 
 // add installs one completed object under its content digest, evicting the
 // oldest entry past the bound and persisting a cache file when a directory
-// is configured. Persistence is best-effort, like resume checkpoints: a
-// full disk must not turn a completed transfer into a failure.
+// is configured. The cache takes ownership of obj: the caller hands over a
+// buffer nothing else references or will write (a receive path's staged
+// copy, a freshly loaded file). Persistence is best-effort, like resume
+// checkpoints: a full disk must not turn a completed transfer into a
+// failure.
 func (c *contentCache) add(content [32]byte, obj []byte, packetSize int) {
 	if c == nil || len(obj) == 0 {
 		return
 	}
 	ent := &cachedObject{
-		obj:        append([]byte(nil), obj...),
+		obj:        obj,
 		packetSize: packetSize,
 		addedAt:    time.Now(),
 	}

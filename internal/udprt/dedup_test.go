@@ -89,8 +89,8 @@ func TestDedupSecondSendMovesNoData(t *testing.T) {
 	}
 }
 
-// TestDedupStripedSend covers the striped plan: the CHECK carries
-// per-stripe digests, and a hit excuses every stripe at once.
+// TestDedupStripedSend covers the striped plan: a hit excuses every
+// stripe at once.
 func TestDedupStripedSend(t *testing.T) {
 	l, err := Listen("127.0.0.1:0", Options{})
 	if err != nil {
@@ -265,6 +265,63 @@ func TestServerDedupFanout(t *testing.T) {
 			t.Fatalf("completion %d delivered different bytes", i)
 		}
 	}
+}
+
+// TestDedupReadYourWrites pins the receive side's commit-before-COMPLETE
+// invariant: a repeat Send of the same object, issued the moment the first
+// Send returns, must be answered from the content cache — on a Listener,
+// whose next Accept runs after the previous one returned, and on a Server,
+// whose control handlers run concurrently and whose cache the second CHECK
+// may reach before the first handler has finished.
+func TestDedupReadYourWrites(t *testing.T) {
+	obj := makeObj(64<<10 + 5)
+	repeat := func(t *testing.T, addr string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if _, err := Send(ctx, addr, obj, core.Config{Transfer: 1}, Options{}); err != nil {
+			t.Fatalf("first send: %v", err)
+		}
+		sst, err := Send(ctx, addr, obj, core.Config{Transfer: 2}, Options{})
+		if err != nil {
+			t.Fatalf("repeat send: %v", err)
+		}
+		if !sst.Deduped || sst.PacketsSent != 0 {
+			t.Fatalf("repeat send: Deduped=%v PacketsSent=%d, want true/0", sst.Deduped, sst.PacketsSent)
+		}
+	}
+	t.Run("listener", func(t *testing.T) {
+		l, err := Listen("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		done, _, _, rerrs := acceptN(ctx, l, 2)
+		repeat(t, l.Addr())
+		<-done
+		for i, rerr := range rerrs {
+			if rerr != nil {
+				t.Fatalf("accept %d: %v", i, rerr)
+			}
+		}
+	})
+	t.Run("server", func(t *testing.T) {
+		s, err := NewServer("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		srvDone := make(chan error, 1)
+		go func() { srvDone <- s.Serve(ctx, func(uint32, []byte, core.ReceiverStats) {}) }()
+		repeat(t, s.Addr())
+		cancel()
+		if err := <-srvDone; err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	})
 }
 
 // TestDedupCachePersistsAcrossRestart proves the cache rides the same

@@ -450,6 +450,11 @@ func noteReceiverDelta(tm *metrics.Transfer, fr *flight.Recorder, seq uint32,
 // each engine's reusable buffer, and replies go out through the net
 // package's value-typed address API.
 //
+// cv, when non-nil, streams the content verdict: after each batch it hashes
+// whatever contiguous prefix of the object has landed, so completion only
+// hashes the tail. It runs here, on the goroutine that drives the
+// receivers, because it reads their bitmaps and placed bytes.
+//
 // Liveness: if no datagram for any engine arrives for Options.IdleTimeout,
 // the loop aborts the transfer (ABORT idle-timeout on the control channel,
 // tagged with the transfer's base id) and returns an error wrapping
@@ -458,7 +463,7 @@ func noteReceiverDelta(tm *metrics.Transfer, fr *flight.Recorder, seq uint32,
 // receive promptly; that is only safe on a connection dedicated to one
 // transfer — on a session connection it would steal the next HELLO.
 func runReceiveLoop(ctx context.Context, engines map[uint32]*receiverEngine, base uint32,
-	udp *net.UDPConn, ctl net.Conn, opts Options, watchCtl bool, or *obs.Recorder) error {
+	udp *net.UDPConn, ctl net.Conn, opts Options, watchCtl bool, or *obs.Recorder, cv *contentVerifier) error {
 
 	var abortCh <-chan error
 	if watchCtl && ctl != nil {
@@ -549,6 +554,7 @@ func runReceiveLoop(ctx context.Context, engines map[uint32]*receiverEngine, bas
 				remaining--
 			}
 		}
+		cv.advance()
 	}
 	return nil
 }

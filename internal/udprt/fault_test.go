@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,19 +221,17 @@ func TestSenderStallMidTransferViaBlackhole(t *testing.T) {
 		recvErr <- err
 	}()
 
-	var cut atomic.Bool
+	// The proxy black-holes the path once a tenth of the packets went
+	// through: the transfer is under way and cannot have completed.
+	obj := makeObj(4 << 20)
+	proxy.ScheduleCut(faultnet.Cut{After: packetsOf(obj) / 10, Blackhole: true})
 	opts := Options{
 		StallTimeout: 500 * time.Millisecond,
 		Pace:         10 * time.Microsecond,
-		Progress: func(done, total int) {
-			if done > total/10 && cut.CompareAndSwap(false, true) {
-				proxy.SetBlackhole(true)
-			}
-		},
 	}
-	_, err = Send(ctx, proxy.Addr(), makeObj(4<<20), core.Config{AckFrequency: 16}, opts)
-	if !cut.Load() {
-		t.Fatal("transfer finished before the blackhole engaged; enlarge the object")
+	_, err = Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, opts)
+	if proxy.CutsFired() != 1 {
+		t.Fatal("the blackhole never engaged")
 	}
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
@@ -422,20 +419,16 @@ func TestSeverControlMidTransfer(t *testing.T) {
 		recvErr <- err
 	}()
 
-	var cut atomic.Bool
+	obj := makeObj(4 << 20)
+	proxy.ScheduleCut(faultnet.Cut{After: packetsOf(obj) / 10, Sever: true})
 	opts := Options{
 		StallTimeout: 60 * time.Second,
 		Pace:         10 * time.Microsecond,
-		Progress: func(done, total int) {
-			if done > total/10 && cut.CompareAndSwap(false, true) {
-				proxy.SeverControl()
-			}
-		},
 	}
 	start := time.Now()
-	_, err = Send(ctx, proxy.Addr(), makeObj(4<<20), core.Config{AckFrequency: 16}, opts)
-	if !cut.Load() {
-		t.Fatal("transfer finished before the control cut; enlarge the object")
+	_, err = Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, opts)
+	if proxy.CutsFired() != 1 {
+		t.Fatal("the control cut never fired")
 	}
 	if err == nil {
 		t.Fatal("sender succeeded across a severed control connection")
@@ -589,4 +582,10 @@ func TestCorruptedPayloadFailsDigest(t *testing.T) {
 	if IsRetryable(serr) {
 		t.Fatal("content corruption classified retryable")
 	}
+}
+
+// packetsOf is obj's packet count at the default packet size: the unit a
+// faultnet.Cut counts in when one datagram carries one packet.
+func packetsOf(obj []byte) int64 {
+	return int64(core.NumPackets(int64(len(obj)), core.DefaultPacketSize))
 }

@@ -148,7 +148,8 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 
 // TestReceiverHotPathZeroAllocs measures the receiver's steady-state
 // per-wakeup work — drain the socket, decode each datagram, place it,
-// classify it for the metrics, serialize and send the acknowledgement — as
+// classify it for the metrics, serialize and send the acknowledgement, then
+// stream the CHECK content verdict over the placed prefix — as
 // runReceiveLoop performs it, and requires zero allocations on both socket
 // paths, with and without metrics.
 func TestReceiverHotPathZeroAllocs(t *testing.T) {
@@ -185,6 +186,15 @@ func TestReceiverHotPathZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			ackBuf := make([]byte, 0, rcv.Config().AckPacketSize+wire.AckHeaderLen)
+			// CHECK on: a dedup-permitting announcement, so every advance
+			// hashes and stages for the cache.
+			cv := newContentVerifier(recvPlan{
+				objectSize:  uint64(snd.ObjectSize()),
+				packetSize:  packetSize,
+				hasCheck:    true,
+				checkDigest: snd.ContentID(),
+				checkDedup:  true,
+			}, rcv.Object(), []*core.Receiver{rcv}, newContentCache(Options{}))
 			udp.SetReadDeadline(time.Time{})
 
 			// The feeding sends run in this goroutine too, but the sender side
@@ -225,9 +235,13 @@ func TestReceiverHotPathZeroAllocs(t *testing.T) {
 						}
 					}
 					got += n
+					cv.advance()
 				}
 			}); allocs > 0 {
-				t.Errorf("receiver drain+place+ack allocates %.1f times per wakeup, want 0", allocs)
+				t.Errorf("receiver drain+place+ack+verify allocates %.1f times per wakeup, want 0", allocs)
+			}
+			if cv.done == 0 {
+				t.Error("the content verifier hashed nothing during the gate")
 			}
 			if tm != nil {
 				s := tm.Snapshot()

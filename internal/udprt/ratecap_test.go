@@ -265,22 +265,16 @@ func TestResumeFirstContinuesRetainedTransfer(t *testing.T) {
 	}()
 
 	// First life: unsupervised send, severed at half delivered.
-	var cut atomic.Bool
+	proxy.ScheduleCut(faultnet.Cut{After: packetsOf(obj) / 2, Blackhole: true, Sever: true})
 	_, err = Send(ctx, proxy.Addr(), obj, cfg, Options{
 		StallTimeout: time.Second,
 		Pace:         25 * time.Microsecond,
-		Progress: func(done, total int) {
-			if done > total/2 && cut.CompareAndSwap(false, true) {
-				proxy.SetBlackhole(true)
-				proxy.SeverControl()
-			}
-		},
 	})
 	if err == nil {
 		t.Fatal("severed send reported success")
 	}
-	if !cut.Load() {
-		t.Fatal("transfer finished before the kill point; enlarge the object")
+	if proxy.CutsFired() != 1 {
+		t.Fatal("the kill point never fired")
 	}
 	// The receiver parks its state the moment its control dies; give its
 	// accept loop a beat to get back into Accept before the second life.

@@ -276,8 +276,11 @@ func acceptResumedTransfer(ctx context.Context, plan recvPlan, udp *net.UDPConn,
 	noteHandshake(tm, fr)
 	or.Event(obs.KindHandshake, 0)
 	or.Event(obs.KindResume, uint64(restored))
+	// Built after the HAVE answer, as on the fresh path; the restored
+	// prefix is hashed by its first advance like any other placed bytes.
+	cv := newContentVerifier(plan, ret.obj, []*core.Receiver{rcv}, cache)
 	byTag := map[uint32]*receiverEngine{plan.base: e}
-	if err := runReceiveLoop(ctx, byTag, plan.base, udp, ctl, opts, watchCtl, or); err != nil {
+	if err := runReceiveLoop(ctx, byTag, plan.base, udp, ctl, opts, watchCtl, or, cv); err != nil {
 		store.retainReceiver(plan.base, plan.objectSize, plan.packetSize, rcv, ret.digest, true)
 		finishInstruments(tm, fr, err)
 		finishTrace(or, err)
@@ -297,21 +300,20 @@ func acceptResumedTransfer(ctx context.Context, plan recvPlan, udp *net.UDPConn,
 	// The CRC above reconciles the resumed bytes with what the RESUME
 	// announced; the CHECK's content digest then reconciles both with the
 	// object's content identity — a retained buffer that rotted across the
-	// restart fails here, not at the application.
-	if err := plan.verifyContent(ret.obj); err != nil {
+	// restart fails here, not at the application. The cache commit precedes
+	// COMPLETE, as on every receive path.
+	if err := cv.verify(); err != nil {
 		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
 		finishInstruments(tm, fr, err)
 		finishTrace(or, err)
 		return nil, rcv.Stats(), err
 	}
+	cv.commit()
 	err = writeComplete(ctl, plan.base, plan.objectSize, ret.obj)
 	finishInstruments(tm, fr, err)
 	finishTrace(or, err)
 	if err != nil {
 		return nil, rcv.Stats(), err
-	}
-	if plan.hasCheck && plan.checkDedup {
-		cache.add(plan.checkDigest, ret.obj, plan.packetSize)
 	}
 	return ret.obj, rcv.Stats(), nil
 }

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,10 +94,13 @@ func TestResumeKillPointSweep(t *testing.T) {
 						recvCh <- recvResult{got, st, err}
 					}()
 
-					// Sever both channels once the acked fraction crosses the
-					// kill point: the sender sees its control die (retryable),
-					// the receiver parks its partial state.
-					var cut atomic.Bool
+					// Sever both channels once the relayed fraction reaches
+					// the kill point: the sender sees its control die
+					// (retryable), the receiver parks its partial state.
+					proxy.ScheduleCut(faultnet.Cut{
+						After:     packetsOf(obj) * int64(frac) / 100,
+						Blackhole: true, Sever: true, Heal: 100 * time.Millisecond,
+					})
 					opts := Options{
 						NoFastPath: noFastPath,
 						Congestion: policy,
@@ -109,17 +111,10 @@ func TestResumeKillPointSweep(t *testing.T) {
 						Pace:         25 * time.Microsecond,
 						Metrics:      sreg,
 						Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 7},
-						Progress: func(done, total int) {
-							if done > total*frac/100 && cut.CompareAndSwap(false, true) {
-								proxy.SetBlackhole(true)
-								proxy.SeverControl()
-								time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
-							}
-						},
 					}
 					sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 8}, opts)
-					if !cut.Load() {
-						t.Fatal("transfer finished before the kill point; enlarge the object")
+					if proxy.CutsFired() != 1 {
+						t.Fatal("the kill point never fired")
 					}
 					if serr != nil {
 						t.Fatalf("supervised send: %v", serr)
@@ -202,30 +197,15 @@ func TestRetryFlappingLink(t *testing.T) {
 		got, _, rerr = acceptUntilSuccess(ctx, l)
 	}()
 
-	// The link drops at 20% and again at 70% of whatever the sender has
-	// delivered so far, healing 400ms after each cut.
-	var cuts atomic.Int32
-	cutAt := func(done, total int) bool {
-		switch cuts.Load() {
-		case 0:
-			return done > total/5
-		case 1:
-			return done > total*7/10
-		default:
-			return false
-		}
-	}
+	// The link drops once 20% and again once 70% of the object's packet
+	// count has been relayed, healing 400ms after each cut.
+	n := packetsOf(obj)
+	proxy.ScheduleCut(faultnet.Cut{After: n / 5, Blackhole: true, Heal: 400 * time.Millisecond})
+	proxy.ScheduleCut(faultnet.Cut{After: n * 7 / 10, Blackhole: true, Heal: 400 * time.Millisecond})
 	opts := Options{
 		StallTimeout: 400 * time.Millisecond,
 		Pace:         2 * time.Microsecond,
 		Retry:        &RetryPolicy{MaxRetries: 6, Backoff: 300 * time.Millisecond, Seed: 3},
-		Progress: func(done, total int) {
-			if cutAt(done, total) {
-				cuts.Add(1)
-				proxy.SetBlackhole(true)
-				time.AfterFunc(400*time.Millisecond, func() { proxy.SetBlackhole(false) })
-			}
-		},
 	}
 	sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, opts)
 	if serr != nil {
@@ -238,14 +218,14 @@ func TestRetryFlappingLink(t *testing.T) {
 	if !bytes.Equal(got, obj) {
 		t.Fatal("object corrupted across flapping link")
 	}
-	if cuts.Load() == 0 {
-		t.Fatal("link never flapped; enlarge the object")
+	if proxy.CutsFired() != 2 {
+		t.Fatalf("link flapped %d times, want 2", proxy.CutsFired())
 	}
 	if sst.Restored == 0 {
 		t.Fatal("final attempt restored nothing: retries restarted from scratch")
 	}
 	t.Logf("flapping link: %d cuts, final attempt restored %d/%d, sent %d",
-		cuts.Load(), sst.Restored, sst.PacketsNeeded, sst.PacketsSent)
+		proxy.CutsFired(), sst.Restored, sst.PacketsNeeded, sst.PacketsSent)
 }
 
 // TestRetryDegradesWhenReceiverCannotResume points the supervisor at a
@@ -278,22 +258,15 @@ func TestRetryDegradesWhenReceiverCannotResume(t *testing.T) {
 		got, _, rerr = acceptUntilSuccess(ctx, l)
 	}()
 
-	var cut atomic.Bool
+	proxy.ScheduleCut(faultnet.Cut{After: packetsOf(obj) / 2, Blackhole: true, Sever: true, Heal: 100 * time.Millisecond})
 	opts := Options{
 		StallTimeout: 2 * time.Second,
 		Pace:         2 * time.Microsecond,
 		Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 5},
-		Progress: func(done, total int) {
-			if done > total/2 && cut.CompareAndSwap(false, true) {
-				proxy.SetBlackhole(true)
-				proxy.SeverControl()
-				time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
-			}
-		},
 	}
 	sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, opts)
-	if !cut.Load() {
-		t.Fatal("transfer finished before the kill point; enlarge the object")
+	if proxy.CutsFired() != 1 {
+		t.Fatal("the kill point never fired")
 	}
 	if serr != nil {
 		t.Fatalf("supervised send against no-resume receiver: %v", serr)
@@ -342,18 +315,11 @@ func TestRetryNoResumePolicy(t *testing.T) {
 		got, _, rerr = acceptUntilSuccess(ctx, l)
 	}()
 
-	var cut atomic.Bool
+	proxy.ScheduleCut(faultnet.Cut{After: packetsOf(obj) / 2, Blackhole: true, Sever: true, Heal: 100 * time.Millisecond})
 	opts := Options{
 		StallTimeout: 2 * time.Second,
 		Pace:         2 * time.Microsecond,
 		Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 5, NoResume: true},
-		Progress: func(done, total int) {
-			if done > total/2 && cut.CompareAndSwap(false, true) {
-				proxy.SetBlackhole(true)
-				proxy.SeverControl()
-				time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
-			}
-		},
 	}
 	sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, opts)
 	if serr != nil {
@@ -435,18 +401,11 @@ func TestResumeAfterReceiverRestart(t *testing.T) {
 		restarted <- l2
 	}()
 
-	var cut atomic.Bool
+	proxy.ScheduleCut(faultnet.Cut{After: packetsOf(obj) / 2, Blackhole: true, Sever: true, Heal: 100 * time.Millisecond})
 	opts := Options{
 		StallTimeout: 2 * time.Second,
 		Pace:         2 * time.Microsecond,
 		Retry:        &RetryPolicy{MaxRetries: 5, Backoff: 400 * time.Millisecond, Seed: 11},
-		Progress: func(done, total int) {
-			if done > total/2 && cut.CompareAndSwap(false, true) {
-				proxy.SetBlackhole(true)
-				proxy.SeverControl()
-				time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
-			}
-		},
 	}
 	sendDone := make(chan struct{})
 	var sst core.SenderStats
@@ -515,22 +474,15 @@ func TestServerResumesTransfer(t *testing.T) {
 	}()
 
 	obj := makeObj(1 << 20)
-	var cut atomic.Bool
+	proxy.ScheduleCut(faultnet.Cut{After: packetsOf(obj) / 2, Blackhole: true, Sever: true, Heal: 100 * time.Millisecond})
 	opts := Options{
 		StallTimeout: 2 * time.Second,
 		Pace:         2 * time.Microsecond,
 		Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 9},
-		Progress: func(done, total int) {
-			if done > total/2 && cut.CompareAndSwap(false, true) {
-				proxy.SetBlackhole(true)
-				proxy.SeverControl()
-				time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
-			}
-		},
 	}
 	sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{Transfer: 77, AckFrequency: 16}, opts)
-	if !cut.Load() {
-		t.Fatal("transfer finished before the kill point; enlarge the object")
+	if proxy.CutsFired() != 1 {
+		t.Fatal("the kill point never fired")
 	}
 	if serr != nil {
 		t.Fatalf("supervised send to server: %v", serr)

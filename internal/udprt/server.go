@@ -321,7 +321,12 @@ wait:
 		abortTrace(st.or, wire.AbortDigestMismatch)
 		return
 	}
-	if err := plan.verifyContent(obj); err != nil {
+	// The Server serves small objects, which land too quickly for streamed
+	// hashing to shorten anything: its verifier hashes the whole object
+	// here. No lock is needed: once complete, the data loop only counts
+	// duplicates, which write neither the bitmap nor the bytes.
+	cv := newContentVerifier(plan, obj, []*core.Receiver{rcv}, s.cache)
+	if err := cv.verify(); err != nil {
 		// The assembled bytes are not the announced content: corrupted
 		// past the CRC's reach, or a sender lying about identity. Either
 		// way the object is neither delivered nor cached.
@@ -332,11 +337,11 @@ wait:
 	}
 	finishInstruments(st.eng.tm, st.eng.fr, nil)
 	finishTrace(st.or, nil)
+	// Commit before COMPLETE: a sender that has seen COMPLETE may push the
+	// same object again at once and must find it cached.
+	cv.commit()
 	if err := writeComplete(ctl, hello.Transfer, hello.ObjectSize, obj); err != nil {
 		return
-	}
-	if plan.hasCheck && plan.checkDedup {
-		s.cache.add(plan.checkDigest, obj, plan.packetSize)
 	}
 	handle(hello.Transfer, obj, rstats)
 }

@@ -154,10 +154,11 @@ func (p *senderPlan) totalPackets() int {
 }
 
 // checkFrame serializes the plan's CHECK prelude: the whole-object content
-// digest, plus one digest per stripe for a striped plan. Nil — no prelude,
-// bit-identical to the pre-CHECK handshake — when the caller opted out of
-// dedup without demanding verification; hashing happens only when the
-// frame is actually built.
+// digest, plus one digest per stripe for a striped plan under Verify — the
+// only receivers that check them — so an unverified striped push hashes
+// its object once. Nil — no prelude, bit-identical to the pre-CHECK
+// handshake — when the caller opted out of dedup without demanding
+// verification; hashing happens only when the frame is actually built.
 func (p *senderPlan) checkFrame(opts Options) []byte {
 	if opts.NoDedup && !opts.Verify {
 		return nil
@@ -176,7 +177,7 @@ func (p *senderPlan) checkFrame(opts Options) []byte {
 		PacketSize: uint32(p.cfg.PacketSize),
 		Digest:     p.contentID(),
 	}
-	if len(p.snds) > 1 {
+	if opts.Verify && len(p.snds) > 1 {
 		c.StripeDigests = make([][32]byte, len(p.snds))
 		for i, snd := range p.snds {
 			c.StripeDigests[i] = snd.ContentID()
@@ -389,7 +390,7 @@ type recvPlan struct {
 	// CHECK prelude state: the sender announced the object's content
 	// identity before the handshake. checkDedup permits answering from the
 	// content cache; checkVerify demands the per-stripe digests be checked
-	// too, not just the whole-object one.
+	// too, not just the whole-object one (contentVerifier does both).
 	hasCheck      bool
 	checkDigest   [32]byte
 	checkVerify   bool
@@ -398,33 +399,6 @@ type recvPlan struct {
 }
 
 func (p recvPlan) striped() bool { return p.stripes != nil }
-
-// verifyContent checks the assembled object against the content identity
-// the CHECK prelude announced: the whole-object SHA-256 always, and each
-// stripe's digest when the sender demanded verification. A mismatch is
-// corruption the CRC survived (or a sender announcing one object and
-// blasting another); either way the bytes must not be delivered or
-// cached. Nil when no CHECK arrived.
-func (p recvPlan) verifyContent(obj []byte) error {
-	if !p.hasCheck {
-		return nil
-	}
-	if core.ContentID(obj) != p.checkDigest {
-		return fmt.Errorf("udprt: assembled object does not match announced content digest: %w", ErrDigestMismatch)
-	}
-	if p.checkVerify && p.striped() && len(p.stripeDigests) > 0 {
-		if len(p.stripeDigests) != len(p.stripes) {
-			return fmt.Errorf("udprt: %d stripe digests announced for %d stripes: %w",
-				len(p.stripeDigests), len(p.stripes), ErrDigestMismatch)
-		}
-		for i, sd := range p.stripes {
-			if core.ContentID(obj[sd.Offset:sd.Offset+sd.Length]) != p.stripeDigests[i] {
-				return fmt.Errorf("udprt: stripe %d does not match its announced digest: %w", i, ErrDigestMismatch)
-			}
-		}
-	}
-	return nil
-}
 
 // newRecvEngines allocates the object and builds one instrumented
 // receiver engine per stripe. The classic path keeps its historical
@@ -511,34 +485,42 @@ func acceptTransfer(ctx context.Context, plan recvPlan, udp *net.UDPConn, ctl ne
 		finishAll(err)
 		return nil, sumRecvStats(engines), err
 	}
+	// The verifier allocates the cache's object-sized stage: after the
+	// HELLO-ACK, that work overlaps the sender's first packets (the socket
+	// buffer holds them) instead of delaying the sender's start.
+	rcvs := make([]*core.Receiver, len(engines))
+	for i, e := range engines {
+		rcvs[i] = e.rcv
+	}
+	cv := newContentVerifier(plan, obj, rcvs, cache)
 	byTag := make(map[uint32]*receiverEngine, len(engines))
 	for _, e := range engines {
 		noteHandshake(e.tm, e.fr)
 		byTag[e.rcv.Config().Transfer] = e
 	}
 	or.Event(obs.KindHandshake, 0)
-	if err := runReceiveLoop(ctx, byTag, plan.base, udp, ctl, opts, watchCtl, or); err != nil {
+	if err := runReceiveLoop(ctx, byTag, plan.base, udp, ctl, opts, watchCtl, or, cv); err != nil {
 		if !plan.striped() {
 			store.retainReceiver(plan.base, plan.objectSize, plan.packetSize, engines[0].rcv, 0, false)
 		}
 		finishAll(err)
 		return nil, sumRecvStats(engines), err
 	}
-	// Every packet is placed; what remains is the content verdict, the CRC
-	// digest check and the COMPLETE write (writeComplete computes the CRC).
+	// Every packet is placed; what remains is the content verdict over the
+	// tail the receive loop has not hashed yet, the cache commit, and the
+	// COMPLETE write (writeComplete computes the CRC). The commit comes
+	// first: a sender that has seen COMPLETE may push the object again.
 	or.Event(obs.KindDrain, 0)
-	if err := plan.verifyContent(obj); err != nil {
+	if err := cv.verify(); err != nil {
 		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
 		finishAll(err)
 		return nil, sumRecvStats(engines), err
 	}
+	cv.commit()
 	err := writeComplete(ctl, plan.base, plan.objectSize, obj)
 	finishAll(err)
 	if err != nil {
 		return nil, sumRecvStats(engines), err
-	}
-	if plan.hasCheck && plan.checkDedup {
-		cache.add(plan.checkDigest, obj, plan.packetSize)
 	}
 	return obj, sumRecvStats(engines), nil
 }
